@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: check lint test test-diff bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-subproc bench-serving bench-smoke bench clean-cache
+.PHONY: check lint test test-diff bench-e2e bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-subproc bench-serving bench-smoke bench clean-cache
 
 ## check: tier-1 tests + one tiny end-to-end figure run (< 1 minute)
 check:
@@ -23,6 +23,15 @@ test:
 ## test-diff: the SoA-vs-reference differential equivalence suite only
 test-diff:
 	python -m pytest -x -q tests/test_soa_equivalence.py
+
+## bench-e2e: the end-to-end benchmark (BENCHMARK.json), untraced, on every
+## workload; pick the seed with `make bench-e2e SEED=N`
+SEED ?= 7
+E2E_WORKLOADS := train_k1 train_k64 sweep_k6 serve_overload
+bench-e2e:
+	for w in $(E2E_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds 22 --trace 0 || exit 1; \
+	done
 
 ## bench-hotpath: microbenchmark of the vectorized training hot path
 bench-hotpath:

@@ -17,9 +17,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.utils.validation import check_positive
+
+
+def _t_quantile(q: float, df: float) -> float:
+    """Student-t quantile; scipy is imported here so ``import repro`` skips it."""
+    from scipy import stats as scipy_stats
+
+    return float(scipy_stats.t.ppf(q, df=df))
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ def summarize_metric(values: Sequence[float], confidence: float = 0.95) -> Metri
         return MetricSummary(mean=mean, std=0.0, ci_low=mean, ci_high=mean, samples=1)
     std = float(data.std(ddof=1))
     sem = std / np.sqrt(data.size)
-    margin = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1) * sem)
+    margin = float(_t_quantile(0.5 + confidence / 2.0, data.size - 1) * sem)
     return MetricSummary(
         mean=mean,
         std=std,
@@ -121,7 +127,7 @@ def compare_policies(
             if a.size > 1 and b.size > 1:
                 sem = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
                 df = max(1.0, min(a.size, b.size) - 1)
-                margin = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df) * sem)
+                margin = float(_t_quantile(0.5 + confidence / 2.0, df) * sem)
             else:
                 margin = float("inf")
             rows.append(

@@ -57,8 +57,12 @@ class StreamingHistogram:
             index = min(self._bins - 1, max(0, int(frac * self._bins)))
         self._counts[index] += 1
 
-    def quantile(self, q: float) -> float:
-        """Approximate the ``q``-quantile (upper edge of the covering bin)."""
+    def bin_upper_edge(self, q: float) -> float:
+        """Upper edge of the bin covering the ``q``-quantile.
+
+        Never below the true quantile of in-range observations, but may sit
+        above the observed max; budget gates that must not loosen use it.
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self._total == 0:
@@ -71,6 +75,13 @@ class StreamingHistogram:
                 frac = (index + 1) / self._bins
                 return 10 ** (self._log_lo + frac * (self._log_hi - self._log_lo))
         return self._max
+
+    def quantile(self, q: float) -> float:
+        """Approximate the ``q``-quantile, never above the observed max.
+
+        This is :meth:`bin_upper_edge` clamped to :attr:`max`.
+        """
+        return min(self.bin_upper_edge(q), self._max)
 
     @property
     def mean(self) -> float:

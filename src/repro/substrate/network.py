@@ -132,6 +132,7 @@ class SubstrateNetwork:
         self._links: Dict[Tuple[int, int], Link] = {}
         #: Routed paths memoized under their canonical (min, max) id pair.
         self._path_cache: Dict[Tuple[int, int], PathInfo] = {}
+        self._edge_node_ids: Optional[Tuple[int, ...]] = None
         self.routing = routing
         self._dense: Optional[DenseRouting] = None
         self._ledger: Optional[SubstrateLedger] = None
@@ -139,6 +140,7 @@ class SubstrateNetwork:
     def _invalidate_topology_caches(self) -> None:
         """Drop every derived structure after a topology mutation."""
         self._path_cache.clear()
+        self._edge_node_ids = None
         self._dense = None
         if self._ledger is not None:
             # Detach the stale mirror so objects stop writing through to it.
@@ -241,9 +243,13 @@ class SubstrateNetwork:
         return list(self._nodes.keys())
 
     @property
-    def edge_node_ids(self) -> List[int]:
-        """Ids of edge-tier nodes."""
-        return [nid for nid, node in self._nodes.items() if node.is_edge]
+    def edge_node_ids(self) -> Tuple[int, ...]:
+        """Ids of edge-tier nodes in insertion order (cached per topology)."""
+        if self._edge_node_ids is None:
+            self._edge_node_ids = tuple(
+                nid for nid, node in self._nodes.items() if node.is_edge
+            )
+        return self._edge_node_ids
 
     @property
     def cloud_node_ids(self) -> List[int]:

@@ -67,7 +67,14 @@ class RequestGenerator:
         self.config = config or WorkloadConfig()
         self._rng = new_rng(self.config.seed)
         weights = np.array([t.weight for t in self.templates], dtype=float)
-        self._template_probabilities = weights / weights.sum()
+        # The cdf ``Generator.choice(n, p=p)`` rebuilds on every call; built
+        # once here, one ``random()`` draw plus a search picks the same index.
+        cdf = (weights / weights.sum()).cumsum()
+        self._template_cdf = cdf / cdf[-1]
+        self._template_vnf_types = [
+            tuple(self.catalog.get(name) for name in t.vnf_sequence)
+            for t in self.templates
+        ]
         if not network.edge_node_ids:
             raise ValueError("the substrate network has no edge nodes for ingress")
         # Validate the hotspot configuration against this network up front:
@@ -100,21 +107,33 @@ class RequestGenerator:
 
     # ------------------------------------------------------------------ #
     # Single-request sampling
+    #
+    # The draws below are a bitwise contract: each one makes exactly the RNG
+    # calls ``Generator.choice`` made (``random()`` for a weighted pick,
+    # ``integers(0, n)`` for a uniform one), in the same order, so every
+    # seeded request stream is unchanged.  Reordering or batching draws is a
+    # semantic change to every trace and simulated outcome.
     # ------------------------------------------------------------------ #
+    def _sample_template_index(self) -> int:
+        return int(self._template_cdf.searchsorted(self._rng.random(), side="right"))
+
+    def _pick(self, seq: Sequence[int]) -> int:
+        return int(seq[int(self._rng.integers(0, len(seq)))])
+
     def sample_template(self) -> ChainTemplate:
         """Draw a service class according to the template weights."""
-        index = self._rng.choice(len(self.templates), p=self._template_probabilities)
-        return self.templates[int(index)]
+        return self.templates[self._sample_template_index()]
 
     def sample_source_node(self) -> int:
         """Draw an ingress edge node, honouring the hotspot skew."""
         if self._hotspots and self._rng.uniform() < self.config.hotspot_fraction:
-            return int(self._rng.choice(self._hotspots))
-        return int(self._rng.choice(self.network.edge_node_ids))
+            return self._pick(self._hotspots)
+        return self._pick(self.network.edge_node_ids)
 
     def sample_request(self, arrival_time: float = 0.0) -> SFCRequest:
         """Sample one complete request arriving at ``arrival_time``."""
-        template = self.sample_template()
+        index = self._sample_template_index()
+        template = self.templates[index]
         bandwidth = float(self._rng.uniform(*template.bandwidth_range))
         sla_latency = float(
             self._rng.uniform(*template.latency_sla_range_ms) * self.config.sla_scale
@@ -125,7 +144,11 @@ class RequestGenerator:
             )
         )
         holding_time = max(1.0, holding_time)
-        chain = ServiceFunctionChain.from_template(template, self.catalog, bandwidth)
+        chain = ServiceFunctionChain(
+            vnf_types=self._template_vnf_types[index],
+            bandwidth_mbps=bandwidth,
+            service_class=template.name,
+        )
         return SFCRequest(
             chain=chain,
             source_node_id=self.sample_source_node(),

@@ -187,6 +187,18 @@ class TestStreamingHistogram:
         with pytest.raises(ValueError):
             StreamingHistogram().quantile(1.5)
 
+    def test_quantile_never_exceeds_observed_max(self):
+        # 0.054 s sits inside the bin whose upper edge is 10**-1.25 ~ 0.0562 s.
+        histogram = StreamingHistogram(lo=1e-6, hi=100.0, bins_per_decade=20)
+        for _ in range(95):
+            histogram.record(0.012)
+        for _ in range(5):
+            histogram.record(0.054)
+        assert histogram.bin_upper_edge(0.99) == pytest.approx(10 ** -1.25)
+        assert histogram.quantile(0.99) == histogram.max == 0.054
+        assert histogram.as_dict()["p99"] <= histogram.as_dict()["max"]
+        assert histogram.quantile(0.5) == histogram.bin_upper_edge(0.5) < 0.054
+
 
 class TestBoundedTrajectory:
     def test_memory_bounded_by_decimation(self):

@@ -1,5 +1,10 @@
 """Tests for multi-seed replication statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +117,14 @@ class TestComparePolicies:
         data = {name: [{"m": 1.0}, {"m": 2.0}] for name in ("a", "b", "c")}
         rows = compare_policies(data, "m")
         assert len(rows) == 3
+
+
+def test_importing_repro_does_not_load_scipy():
+    """scipy is imported only when a confidence interval is computed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, repro; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -1,7 +1,13 @@
 """Unit tests for workload generation and scenarios."""
 
+import hashlib
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.substrate.geo import GeoPoint
+from repro.substrate.node import make_edge_node
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
 from repro.workloads.scenarios import (
     diurnal_scenario,
@@ -199,3 +205,104 @@ class TestScenarios:
         scenario = replace(reference_scenario(num_edge_nodes=6), arrival_kind="weibull")
         with pytest.raises(ValueError):
             scenario.build_arrival_process()
+
+
+def _stream_digest(requests) -> str:
+    """Hash every sampled field of a request stream, bit for bit."""
+    digest = hashlib.sha256()
+    for request in requests:
+        fields = (
+            request.service_class,
+            float(request.bandwidth_mbps).hex(),
+            float(request.sla.max_latency_ms).hex(),
+            float(request.holding_time).hex(),
+            int(request.source_node_id),
+            float(request.arrival_time).hex(),
+        )
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()[:16]
+
+
+#: (scenario, seed) -> (digest of ``generate_batch(200)``, digest of
+#: ``iter_requests(horizon=250)``).  Captured from the ``Generator.choice``
+#: sampler; a sampler edit that shifts, reorders or adds a draw breaks them.
+PINNED_STREAMS = {
+    ("reference", 0): ("b9b64ee1e289d101", "d01b250371a60df1"),
+    ("reference", 1): ("4dc7501bb4164bf1", "da4d65b07aa3dcac"),
+    ("reference", 7): ("113fbf4c20269aca", "189fd0324212fcb3"),
+    ("hotspot", 0): ("7996dd60a353ca7a", "35bfc5bd1fb4f738"),
+    ("hotspot", 1): ("34c93ef38afc41c2", "34ace4c16da9189e"),
+    ("hotspot", 7): ("01289493589c5946", "f9502f50cb2402b6"),
+}
+
+
+class TestPinnedRequestStreams:
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_STREAMS))
+    def test_stream_matches_pinned_digest(self, name, seed):
+        factory = {"reference": reference_scenario, "hotspot": hotspot_scenario}[name]
+        scenario = factory(seed=seed)
+        batch = _stream_digest(scenario.build_generator().generate_batch(200))
+        trace = _stream_digest(scenario.iter_requests(horizon=250.0))
+        assert (batch, trace) == PINNED_STREAMS[(name, seed)]
+
+
+class TestTwinRngEquivalence:
+    """The sampler's draws against the ``Generator.choice`` calls they replace.
+
+    Each case runs the generator and a plain ``Generator`` from the same seed
+    side by side; the picks and the final bit-generator states must agree.
+    """
+
+    def test_template_cdf_matches_weighted_choice(self, edge_cloud_network, catalog, templates):
+        weights = (5.0, 0.01, 2.0, 0.7, 1.3)
+        skewed = [replace(t, weight=w) for t, w in zip(templates, weights)]
+        probabilities = np.asarray(weights) / sum(weights)
+        for seed in range(30):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            generator = RequestGenerator(
+                edge_cloud_network, catalog, skewed, WorkloadConfig(seed=ours)
+            )
+            for _ in range(50):
+                expected = skewed[int(reference.choice(len(skewed), p=probabilities))]
+                assert generator.sample_template() is expected
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_integer_index_matches_sequence_choice(self, edge_cloud_network, catalog, templates):
+        edge_ids = list(edge_cloud_network.edge_node_ids)
+        hotspots = edge_ids[:3]
+        config_of = {
+            "uniform": lambda rng: WorkloadConfig(seed=rng),
+            "hotspot": lambda rng: WorkloadConfig(
+                seed=rng, hotspot_fraction=0.5, hotspot_nodes=tuple(hotspots)
+            ),
+        }
+        for kind, make_config in config_of.items():
+            for seed in range(30):
+                ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                generator = RequestGenerator(
+                    edge_cloud_network, catalog, templates, make_config(ours)
+                )
+                for _ in range(50):
+                    pool = edge_ids
+                    if kind == "hotspot" and reference.uniform() < 0.5:
+                        pool = hotspots
+                    assert generator.sample_source_node() == int(reference.choice(pool))
+                assert ours.bit_generator.state == reference.bit_generator.state
+
+
+class TestEdgeIdCache:
+    def test_topology_mutations_refresh_edge_ids_and_ingress(
+        self, edge_cloud_network, catalog, templates
+    ):
+        network = edge_cloud_network
+        before = network.edge_node_ids
+        existing = RequestGenerator(network, catalog, templates, WorkloadConfig(seed=5))
+        new_id = max(network.node_ids) + 1
+        network.add_node(make_edge_node(new_id, GeoPoint(40.0, -74.0)))
+        assert network.edge_node_ids == before + (new_id,)
+        network.add_link(new_id, before[0], 1000.0)
+        assert network.edge_node_ids == before + (new_id,)
+        fresh = RequestGenerator(network, catalog, templates, WorkloadConfig(seed=5))
+        for generator in (existing, fresh):
+            sources = {generator.sample_source_node() for _ in range(400)}
+            assert new_id in sources
