@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: check lint test test-diff bench-e2e bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-subproc bench-serving bench-smoke bench clean-cache
+.PHONY: check lint test test-diff bench-e2e bench-pairs bench-hotpath bench-envstep bench-vecenv bench-policyeval bench-subproc bench-serving bench-smoke bench clean-cache
 
 ## check: tier-1 tests + one tiny end-to-end figure run (< 1 minute)
 check:
@@ -32,6 +32,15 @@ bench-e2e:
 	for w in $(E2E_WORKLOADS); do \
 		python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds 22 --trace 0 || exit 1; \
 	done
+
+## bench-pairs: alternating parent/change runs of one workload, with each
+## side's median and quartiles and the change's win count, e.g.
+## `make bench-pairs PARENT=HEAD~1 WORKLOAD=train_k1 SEEDS="301 302 303"`
+PARENT ?= HEAD
+WORKLOAD ?= train_k1
+SEEDS ?= 301 302 303 304 305 306 307 308 309 310
+bench-pairs:
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --seeds $(SEEDS)
 
 ## bench-hotpath: microbenchmark of the vectorized training hot path
 bench-hotpath:

@@ -100,11 +100,12 @@ class EpsilonGreedy:
         epsilon = 0.0 if greedy else self.schedule.value(step)
         check_probability(epsilon, "epsilon")
         if not greedy and self._rng.uniform() < epsilon:
-            return int(self._rng.choice(valid))
+            return int(valid[int(self._rng.integers(0, valid.size))])
         masked_q = np.full_like(q_values, -np.inf)
         masked_q[valid] = q_values[valid]
         best = np.flatnonzero(masked_q == masked_q.max())
-        return int(self._rng.choice(best))
+        # Same draw as ``rng.choice(best)``, without its argument checks.
+        return int(best[int(self._rng.integers(0, best.size))])
 
 
     def select_batch(

@@ -8,32 +8,40 @@ reference and the whole network remains picklable / serializable to JSON
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Type
+from typing import Dict, Optional, Type
 
 import numpy as np
 
 
 class Activation(ABC):
-    """Interface: elementwise forward and derivative w.r.t. pre-activation."""
+    """Interface: elementwise forward and derivative w.r.t. pre-activation.
+
+    Every method takes an optional ``out`` array of ``z``'s shape; when given,
+    the result is written there (and returned) instead of into a new array,
+    which is how training-mode layers reuse their workspaces.  ``out`` must
+    not alias ``z`` or ``output``.
+    """
 
     name: str = "activation"
 
     @abstractmethod
-    def forward(self, z: np.ndarray) -> np.ndarray:
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply the activation elementwise to pre-activations ``z``."""
 
     @abstractmethod
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Elementwise derivative evaluated at pre-activations ``z``."""
 
-    def derivative_from_output(self, z: np.ndarray, output: np.ndarray) -> np.ndarray:
+    def derivative_from_output(
+        self, z: np.ndarray, output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Derivative given both ``z`` and the cached forward output.
 
         Activations whose derivative is cheaper to express in terms of their
         output (sigmoid, tanh) override this to skip recomputing the forward
         pass during backprop; the default falls back to :meth:`derivative`.
         """
-        return self.derivative(z)
+        return self.derivative(z, out=out)
 
 
 class Identity(Activation):
@@ -41,11 +49,17 @@ class Identity(Activation):
 
     name = "identity"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return z
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            return z
+        out[...] = z
+        return out
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return np.ones_like(z)
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            return np.ones_like(z)
+        out.fill(1.0)
+        return out
 
 
 class ReLU(Activation):
@@ -53,11 +67,14 @@ class ReLU(Activation):
 
     name = "relu"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, z)
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        # The argument order decides the sign of zero: max(0.0, -0.0) is 0.0.
+        return np.maximum(0.0, z, out=out)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return (z > 0.0).astype(z.dtype)
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(z)
+        return np.greater(z, 0.0, out=out)
 
 
 class LeakyReLU(Activation):
@@ -70,11 +87,17 @@ class LeakyReLU(Activation):
             raise ValueError("negative_slope must be >= 0")
         self.negative_slope = negative_slope
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, z, self.negative_slope * z)
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.multiply(self.negative_slope, z, out=out)
+        np.copyto(out, z, where=z > 0.0)
+        return out
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, 1.0, self.negative_slope).astype(z.dtype)
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(z)
+        out.fill(self.negative_slope)
+        np.copyto(out, 1.0, where=z > 0.0)
+        return out
 
 
 class Tanh(Activation):
@@ -82,14 +105,17 @@ class Tanh(Activation):
 
     name = "tanh"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.tanh(z, out=out)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return 1.0 - np.tanh(z) ** 2
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.derivative_from_output(z, np.tanh(z), out=out)
 
-    def derivative_from_output(self, z: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return 1.0 - output**2
+    def derivative_from_output(
+        self, z: np.ndarray, output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        out = np.square(output, out=out)
+        return np.subtract(1.0, out, out=out)
 
 
 class Sigmoid(Activation):
@@ -97,21 +123,24 @@ class Sigmoid(Activation):
 
     name = "sigmoid"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
+    def forward(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # Numerically stable piecewise formulation.
-        out = np.empty_like(z, dtype=float)
+        if out is None:
+            out = np.empty_like(z, dtype=float)
         positive = z >= 0
         out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
         exp_z = np.exp(z[~positive])
         out[~positive] = exp_z / (1.0 + exp_z)
         return out
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        s = self.forward(z)
-        return s * (1.0 - s)
+    def derivative(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.derivative_from_output(z, self.forward(z), out=out)
 
-    def derivative_from_output(self, z: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return output * (1.0 - output)
+    def derivative_from_output(
+        self, z: np.ndarray, output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        out = np.subtract(1.0, output, out=out)
+        return np.multiply(output, out, out=out)
 
 
 _ACTIVATIONS: Dict[str, Type[Activation]] = {

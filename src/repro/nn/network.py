@@ -11,6 +11,10 @@ library (Q-networks, policy networks, value baselines).  It supports
 * cloning and soft/hard parameter copying (for target networks), and
 * save/load to ``.npz`` files.
 
+All parameters live in one flat float64 vector and all gradients in another;
+each layer's ``weights``/``biases``/``weight_grad``/``bias_grad`` are views
+into them, so the optimizer updates the whole network in one pass.
+
 >>> network = MLP([4, 32, 2], seed=0)
 >>> outputs = network(np.zeros((64, 4)))          # (64, 2) batched forward
 >>> loss = network.fit_batch(inputs, targets, optimizer=Adam(1e-3))
@@ -25,7 +29,7 @@ import numpy as np
 
 from repro.nn.layers import DenseLayer
 from repro.nn.losses import Loss, MSELoss
-from repro.nn.optimizers import Optimizer, ParameterGroup, clip_gradients
+from repro.nn.optimizers import Optimizer, ParameterGroup, clip_scale
 from repro.utils.rng import RandomState, new_rng, spawn_rngs
 
 
@@ -71,6 +75,55 @@ class MLP:
                     seed=rngs[index],
                 )
             )
+        self._bind_storage()
+
+    def _bind_storage(self) -> None:
+        """Move every layer's arrays into one flat parameter and gradient vector.
+
+        Layer ``i`` occupies ``weights_i.ravel()`` then ``biases_i`` in both
+        vectors, in layer order.  The layers' current values are copied in.
+        """
+        # Rows of one allocation, like the optimizer state (see Optimizer._state_for);
+        # the third row holds squared gradients while clipping.
+        self._parameters, self._gradients, self._squared = np.empty(
+            (3, self.parameter_count())
+        )
+        for layer, (weights, biases), (weight_grad, bias_grad) in zip(
+            self.layers,
+            self._layer_views(self._parameters),
+            self._layer_views(self._gradients),
+        ):
+            layer.use_storage(weights, biases, weight_grad, bias_grad)
+        self._flat_group: List[ParameterGroup] = [
+            ({"parameters": self._parameters}, {"parameters": self._gradients})
+        ]
+        self._squared_views = [
+            view for pair in self._layer_views(self._squared) for view in pair
+        ]
+
+    def _layer_views(self, flat: np.ndarray) -> List[tuple]:
+        """Per-layer ``(weights, biases)``-shaped views of a flat vector."""
+        views = []
+        offset = 0
+        for layer in self.layers:
+            split = offset + layer.in_features * layer.out_features
+            end = split + layer.out_features
+            weights = flat[offset:split].reshape(layer.in_features, layer.out_features)
+            views.append((weights, flat[split:end]))
+            offset = end
+        return views
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle and deepcopy carry each layer's arrays; the flat vectors are
+        # rebuilt from them so the layers are views again afterwards.
+        state = self.__dict__.copy()
+        for key in ("_parameters", "_gradients", "_flat_group", "_squared_views", "_squared"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._bind_storage()
 
     # ------------------------------------------------------------------ #
     # Shapes
@@ -99,6 +152,9 @@ class MLP:
         outputs = np.atleast_2d(inputs)
         for layer in self.layers:
             outputs = layer.forward(outputs, training=training)
+        if training:
+            # Training-mode layer outputs are workspaces; hand out a copy.
+            outputs = outputs.copy()
         return outputs[0] if squeeze else outputs
 
     __call__ = forward
@@ -109,15 +165,17 @@ class MLP:
 
     def backward(self, output_grad: np.ndarray) -> np.ndarray:
         """Backpropagate an output gradient, returning the input gradient."""
+        return self._backpropagate(output_grad, input_grad=True)
+
+    def _backpropagate(self, output_grad: np.ndarray, input_grad: bool) -> Optional[np.ndarray]:
         grad = np.atleast_2d(np.asarray(output_grad, dtype=float))
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, input_grad=input_grad)
 
     def zero_grad(self) -> None:
         """Reset accumulated gradients in every layer."""
-        for layer in self.layers:
-            layer.zero_grad()
+        self._gradients.fill(0.0)
 
     def apply_gradient_step(
         self,
@@ -131,13 +189,29 @@ class MLP:
         agent update performs, so callers that compute their own output
         gradient (policy gradients, masked TD regression) need exactly one
         call after the training-mode forward pass.
+
+        The step works on the flat vectors: one gradient fill, no input
+        gradient for the first layer, and one optimizer update over the whole
+        network.  The arithmetic is element-for-element that of the per-layer
+        sequence (``clip_gradients`` then ``optimizer.step`` over
+        :meth:`parameter_groups`), so the parameters are bitwise equal.
         """
-        self.zero_grad()
-        self.backward(output_grad)
-        groups = self.parameter_groups()
+        self._gradients.fill(0.0)
+        self._backpropagate(output_grad, input_grad=False)
         if max_grad_norm is not None:
-            clip_gradients(groups, max_grad_norm)
-        optimizer.step(groups)
+            self._clip_gradients(max_grad_norm)
+        optimizer.step(self._flat_group)
+
+    def _clip_gradients(self, max_norm: float) -> None:
+        """:func:`clip_gradients` over the flat gradient vector.
+
+        The norm keeps one partial sum per layer array, in layer order; a
+        single sum over the flat vector would associate differently.
+        """
+        np.square(self._gradients, out=self._squared)
+        _, scale = clip_scale(self._squared_views, max_norm)
+        if scale is not None:
+            self._gradients *= scale
 
     def parameter_groups(self) -> List[ParameterGroup]:
         """(parameters, gradients) pairs consumed by optimizers."""
@@ -206,9 +280,7 @@ class MLP:
             raise ValueError(
                 f"architecture mismatch: {other.layer_sizes} vs {self.layer_sizes}"
             )
-        for mine, theirs in zip(self.layers, other.layers):
-            mine.weights = tau * theirs.weights + (1.0 - tau) * mine.weights
-            mine.biases = tau * theirs.biases + (1.0 - tau) * mine.biases
+        self._parameters[...] = tau * other._parameters + (1.0 - tau) * self._parameters
 
     def clone(self, seed: RandomState = None) -> "MLP":
         """A new network with the same architecture and copied parameters."""

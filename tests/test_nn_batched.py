@@ -112,7 +112,7 @@ class TestBatchedForwardBackward:
 
         for a, b in zip(helper.get_parameters(), manual.get_parameters()):
             for name in a:
-                np.testing.assert_allclose(a[name], b[name], rtol=1e-12)
+                np.testing.assert_array_equal(a[name], b[name])
 
 
 class TestDQNBatchedUpdate:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.agents.exploration import ConstantSchedule, EpsilonGreedy
 from repro.substrate.geo import GeoPoint
 from repro.substrate.node import make_edge_node
 from repro.workloads.generator import RequestGenerator, WorkloadConfig
@@ -288,6 +289,37 @@ class TestTwinRngEquivalence:
                         pool = hotspots
                     assert generator.sample_source_node() == int(reference.choice(pool))
                 assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_epsilon_greedy_index_matches_ndarray_choice(self, epsilon):
+        """``EpsilonGreedy.select`` against ``Generator.choice`` on its candidates.
+
+        Candidates are index arrays (``flatnonzero`` output); integer-valued
+        Q-values give multi-way ties, continuous ones give length-1 tie sets.
+        """
+        for seed in range(30):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            explorer = EpsilonGreedy(ConstantSchedule(epsilon), seed=ours)
+            inputs = np.random.default_rng(1000 + seed)
+            tie_set_sizes = set()
+            for step in range(60):
+                q_values = inputs.normal(size=7)
+                if step % 2:
+                    q_values = np.round(q_values)
+                mask = inputs.random(7) < 0.7
+                mask[inputs.integers(7)] = True
+                valid = np.flatnonzero(mask)
+                if reference.uniform() < epsilon:
+                    expected = int(reference.choice(valid))
+                else:
+                    masked_q = np.where(mask, q_values, -np.inf)
+                    best = np.flatnonzero(masked_q == masked_q.max())
+                    tie_set_sizes.add(min(best.size, 2))
+                    expected = int(reference.choice(best))
+                assert explorer.select(q_values, step, mask=mask) == expected
+            assert ours.bit_generator.state == reference.bit_generator.state
+            if epsilon < 1.0:
+                assert tie_set_sizes == {1, 2}
 
 
 class TestEdgeIdCache:
