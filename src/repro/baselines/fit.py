@@ -7,45 +7,32 @@ extremes of the geo-distribution trade-off: cloud-only has effectively
 infinite capacity but pays the WAN latency on every chain; edge-only has the
 best latency but saturates quickly.
 
-All four speak the batched protocol: ``plan_assignment`` is the per-request
-reference path and ``select_actions`` the vectorized lane kernel (first-valid
-or masked-argmin array expressions over the ``(K, A)`` masks, with the tier
-policies folding the ledger's tier masks in).
+All four speak the batched protocol: the shared per-request
+``plan_assignment`` takes each policy's ``score_row`` (none for first-valid
+rules) and ``tier_mask`` over ledger rows, and ``select_actions`` is the
+vectorized lane kernel (first-valid or masked-argmin array expressions over
+the ``(K, A)`` masks, with the tier policies folding the same tier masks in).
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.common import (
     AssignmentPolicy,
+    anchor_latency_row,
     first_valid_actions,
-    hosting_candidates,
     lane_masks,
     lane_requests,
     masked_score_actions,
 )
-from repro.nfv.sfc import SFCRequest
-from repro.substrate.network import SubstrateNetwork
+from repro.substrate.ledger import SubstrateLedger
 
 
 class FirstFitPolicy(AssignmentPolicy):
     """Place each VNF on the first (lowest-id) node with enough capacity."""
 
     name = "first_fit"
-
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            assignment.append(candidates[0])
-        return tuple(assignment)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """First valid node action per lane — one argmax over the mask batch."""
@@ -68,22 +55,8 @@ class BestFitPolicy(AssignmentPolicy):
 
     name = "best_fit"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            demand = request.chain.vnf_at(vnf_index).demand_for(request.bandwidth_mbps)
-
-            def remaining_slack(node_id: int) -> float:
-                node = network.node(node_id)
-                return (node.available - demand).total()
-
-            assignment.append(min(candidates, key=remaining_slack))
-        return tuple(assignment)
+    def score_row(self, request, vnf_index, anchor, valid, network) -> np.ndarray:
+        return _slack_row(request, vnf_index, network.ledger)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """Masked argmin over post-allocation slack, batched per lane."""
@@ -99,32 +72,33 @@ class BestFitPolicy(AssignmentPolicy):
         requests, active = lane_requests(lanes)
         scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
         for lane, env in enumerate(lanes):
-            request = requests[lane]
-            if request is None:
-                continue
-            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
-            ledger = env.network.ledger
-            # Same clamping as (node.available - demand).total(): free
-            # capacity clamps at zero, then the per-dimension slack does too.
-            free = np.maximum(ledger.node_capacity - ledger.node_used, 0.0)
-            scores[lane] = np.maximum(free - demand, 0.0).sum(axis=1)
+            if active[lane]:
+                scores[lane] = _slack_row(
+                    requests[lane], env.vnf_index, env.network.ledger
+                )
         return masked_score_actions(masks, scores, active)
+
+
+def _slack_row(request, vnf_index: int, ledger) -> np.ndarray:
+    """Slack left on every ledger row after hosting VNF ``vnf_index``."""
+    demand = request.chain.vnf_at(vnf_index).demand_array_for(request.bandwidth_mbps)
+    # Same clamping as (node.available - demand).total(): free capacity
+    # clamps at zero, then the per-dimension slack does too.
+    return np.maximum(ledger.node_available() - demand, 0.0).sum(axis=1)
 
 
 class _TierRestrictedMixin:
     """Shared lane kernel plumbing for the tier-restricted policies."""
-
-    def _tier_mask(self, env) -> np.ndarray:
-        raise NotImplementedError
 
     def _tier_valid(self, lanes, masks: np.ndarray) -> np.ndarray:
         reject = masks.shape[1] - 1
         # Tier membership is topology-constant: stack it once per lane set.
         cached = getattr(self, "_tier_stack", None)
         if cached is None or cached[0] is not lanes:
-            cached = (lanes, np.stack([self._tier_mask(env) for env in lanes]))
+            cached = (
+                lanes,
+                np.stack([self.tier_mask(env.network.ledger) for env in lanes]),
+            )
             self._tier_stack = cached
         restricted = masks.copy()
         restricted[:, :reject] &= cached[1]
@@ -136,22 +110,8 @@ class CloudOnlyPolicy(_TierRestrictedMixin, AssignmentPolicy):
 
     name = "cloud_only"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        cloud_ids = network.cloud_node_ids
-        if not cloud_ids:
-            return None
-        assignment: List[int] = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network, cloud_ids)
-            if not candidates:
-                return None
-            assignment.append(candidates[0])
-        return tuple(assignment)
-
-    def _tier_mask(self, env) -> np.ndarray:
-        return env.network.ledger.cloud_tier_mask
+    def tier_mask(self, ledger: SubstrateLedger) -> np.ndarray:
+        return ledger.cloud_tier_mask
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """First valid cloud-tier node action per lane."""
@@ -169,28 +129,11 @@ class EdgeOnlyPolicy(_TierRestrictedMixin, AssignmentPolicy):
 
     name = "edge_only"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        edge_ids = network.edge_node_ids
-        if not edge_ids:
-            return None
-        assignment: List[int] = []
-        anchor = request.source_node_id
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network, edge_ids)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.latency_between(anchor, node_id),
-            )
-            assignment.append(best)
-            anchor = best
-        return tuple(assignment)
+    def tier_mask(self, ledger: SubstrateLedger) -> np.ndarray:
+        return ledger.edge_tier_mask
 
-    def _tier_mask(self, env) -> np.ndarray:
-        return env.network.ledger.edge_tier_mask
+    def score_row(self, request, vnf_index, anchor, valid, network) -> np.ndarray:
+        return anchor_latency_row(anchor, valid, network)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """Masked argmin over anchor latency, restricted to edge nodes."""

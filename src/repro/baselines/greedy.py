@@ -10,28 +10,25 @@ Two standard greedy rules appear in virtually every VNF-placement evaluation:
 Both are strong at one end of the latency/utilization trade-off and weak at
 the other, which is exactly the gap the learned policy closes.
 
-Each policy implements both halves of the batched protocol: the per-request
-``plan_assignment`` reference path, and a vectorized ``select_actions`` that
-scores every substrate node of every lane in one ``(K, N)`` array expression
-and takes a masked argmin — decision-for-decision identical to the per-lane
-reference (the equivalence suite asserts it bitwise).
+Each policy supplies one ``score_row`` over ledger rows, which the shared
+per-request ``plan_assignment`` minimizes over the can-host row, and a
+vectorized ``select_actions`` that scores every substrate node of every lane
+in one ``(K, N)`` array expression and takes a masked argmin — decision-for-
+decision identical to the per-lane reference (the equivalence suite asserts
+it bitwise).
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.common import (
     AssignmentPolicy,
-    hosting_candidates,
+    anchor_latency_row,
     lane_masks,
     lane_requests,
     masked_score_actions,
 )
-from repro.nfv.sfc import SFCRequest
-from repro.substrate.network import SubstrateNetwork
 
 
 class GreedyNearestPolicy(AssignmentPolicy):
@@ -39,22 +36,8 @@ class GreedyNearestPolicy(AssignmentPolicy):
 
     name = "greedy_nearest"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        anchor = request.source_node_id
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.latency_between(anchor, node_id),
-            )
-            assignment.append(best)
-            anchor = best
-        return tuple(assignment)
+    def score_row(self, request, vnf_index, anchor, valid, network) -> np.ndarray:
+        return anchor_latency_row(anchor, valid, network)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """Masked argmin over each lane's anchor latency row."""
@@ -76,20 +59,8 @@ class GreedyLeastLoadedPolicy(AssignmentPolicy):
 
     name = "greedy_least_loaded"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            best = min(
-                candidates,
-                key=lambda node_id: network.node(node_id).max_utilization(),
-            )
-            assignment.append(best)
-        return tuple(assignment)
+    def score_row(self, request, vnf_index, anchor, valid, network) -> np.ndarray:
+        return network.ledger.max_utilization()
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """Masked argmin over each lane's bottleneck-utilization column."""
@@ -113,24 +84,8 @@ class GreedyCheapestPolicy(AssignmentPolicy):
 
     name = "greedy_cheapest"
 
-    def plan_assignment(
-        self, request: SFCRequest, network: SubstrateNetwork
-    ) -> Optional[Tuple[int, ...]]:
-        assignment = []
-        for vnf_index in range(request.num_vnfs):
-            candidates = hosting_candidates(request, vnf_index, network)
-            if not candidates:
-                return None
-            vnf = request.chain.vnf_at(vnf_index)
-            demand = vnf.demand_for(request.bandwidth_mbps)
-            best = min(
-                candidates,
-                key=lambda node_id: network.node(node_id).hosting_cost(
-                    demand, request.holding_time
-                ),
-            )
-            assignment.append(best)
-        return tuple(assignment)
+    def score_row(self, request, vnf_index, anchor, valid, network) -> np.ndarray:
+        return _hosting_cost_row(request, vnf_index, network.ledger)
 
     def select_actions(self, states=None, masks=None, greedy: bool = True) -> np.ndarray:
         """Masked argmin over each lane's per-node hosting cost."""
@@ -146,15 +101,15 @@ class GreedyCheapestPolicy(AssignmentPolicy):
         requests, active = lane_requests(lanes)
         scores = np.full((len(lanes), masks.shape[1] - 1), np.inf)
         for lane, env in enumerate(lanes):
-            request = requests[lane]
-            if request is None:
-                continue
-            demand = request.chain.vnf_at(env.vnf_index).demand_array_for(
-                request.bandwidth_mbps
-            )
-            ledger = env.network.ledger
-            # Same expression as ComputeNode.hosting_cost: demand . cost * t.
-            scores[lane] = (ledger.node_cost_per_unit * demand).sum(axis=1) * (
-                request.holding_time
-            )
+            if active[lane]:
+                scores[lane] = _hosting_cost_row(
+                    requests[lane], env.vnf_index, env.network.ledger
+                )
         return masked_score_actions(masks, scores, active)
+
+
+def _hosting_cost_row(request, vnf_index: int, ledger) -> np.ndarray:
+    """Cost of hosting VNF ``vnf_index`` of ``request`` on every ledger row."""
+    demand = request.chain.vnf_at(vnf_index).demand_array_for(request.bandwidth_mbps)
+    # Same expression as ComputeNode.hosting_cost: demand . cost * t.
+    return (ledger.node_cost_per_unit * demand).sum(axis=1) * request.holding_time

@@ -54,6 +54,11 @@ OUTCOMES = (
 )
 OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOMES)}
 
+#: One lane's row in the reference backend's decision-context gather: active
+#: flag, anchor row, extra latency, latency budget, holding time and the
+#: next VNF's demand (3).  Lanes without a request in flight take this row.
+_IDLE_LANE = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
 
 class LaneDecisionContext:
     """Batched arrays describing every lane's pending placement decision.
@@ -282,7 +287,13 @@ class VecPlacementEnv:
         self._decision_version = 0
         self._context: Optional[LaneDecisionContext] = None
         self._context_version = -1
-        self._zero_demand = np.zeros(3)
+        #: (K, N, 3) node_used rows of the last decision-context gather and
+        #: the (ledger, node version) each row was copied from.
+        self._used_stack = np.zeros((len(self.envs), self.num_actions - 1, 3))
+        self._used_keys: List[tuple] = [(None, -1)] * len(self.envs)
+        self._reject_column = np.ones((len(self.envs), 1), dtype=bool)
+        #: Lanes with failed nodes at the last decision-context gather.
+        self._failed_lanes: List[int] = []
         #: attr -> ((attr, ledger ids), stacked matrix) for constant stacks.
         self._const_stack_cache: Dict[str, Tuple[tuple, np.ndarray]] = {}
         # Lean-step outcome arrays (see the accessors below): the reference
@@ -453,55 +464,62 @@ class VecPlacementEnv:
         if self._context is not None and self._context_version == self._decision_version:
             return self._context
         envs = self.envs
-        # Per-lane values accumulate in Python lists and convert to arrays in
-        # one shot: element-wise writes into preallocated numpy arrays cost
-        # roughly a microsecond each, which dominates a K=16 gather.
-        active = []
-        demands = []
-        extras = []
-        budgets = []
-        holding = []
-        anchor_rows = []
-        used_rows = []
+        num_lanes = len(envs)
+        # Per-lane values accumulate in one flat Python list and convert to
+        # one array in one shot: at K=16 the gather's cost is the number of
+        # numpy calls, not the arithmetic.  Row layout: _IDLE_LANE.
+        values = []
         ledgers = []
-        zero_demand = self._zero_demand
+        failed = []
+        # node_used rows persist across steps: only lanes whose ledger changed
+        # since the last gather (another ledger object or a bumped node
+        # version) are copied in, and the context gets a copy of the stack.
+        used = self._used_stack
+        used_keys = self._used_keys
         dense_index = envs[0].network.dense_routing.index
-        for env in envs:
+        for lane, env in enumerate(envs):
             ledger = env.network.ledger
             ledgers.append(ledger)
-            used_rows.append(ledger.node_used)
+            key = used_keys[lane]
+            if key[0] is not ledger or key[1] != ledger._node_version:
+                used[lane] = ledger.node_used
+                used_keys[lane] = (ledger, ledger._node_version)
+            if env._failed_nodes:
+                failed.append(lane)
             request = env._current_request
             if request is None:
-                active.append(False)
-                demands.append(zero_demand)
-                extras.append(0.0)
-                budgets.append(1.0)
-                holding.append(0.0)
-                anchor_rows.append(0)
+                values += _IDLE_LANE
                 continue
-            active.append(True)
-            next_vnf = request.chain.vnf_at(env._vnf_index)
-            demands.append(next_vnf.demand_array_for(request.bandwidth_mbps))
-            extras.append(next_vnf.processing_delay_ms + env._partial_latency)
-            budgets.append(request.sla.max_latency_ms)
-            holding.append(request.holding_time)
-            partial = env._partial_assignment
-            anchor_rows.append(
-                dense_index[partial[-1] if partial else request.source_node_id]
+            chain = request.chain
+            bandwidth = chain.bandwidth_mbps
+            next_vnf = chain.vnf_types[env._vnf_index]
+            cpu, memory, storage, cpu_mbps, memory_mbps, storage_mbps = (
+                next_vnf.demand_terms
             )
-        anchor_index = np.array(anchor_rows, dtype=np.int64)
-        num_lanes = len(envs)
-        num_nodes = len(used_rows[0])
+            partial = env._partial_assignment
+            values += (
+                1.0,
+                dense_index[partial[-1] if partial else request.source_node_id],
+                next_vnf.processing_delay_ms + env._partial_latency,
+                request.sla.max_latency_ms,
+                request.holding_time,
+                # demand_array_for's base + per_mbps * bandwidth, per dimension.
+                cpu + cpu_mbps * bandwidth,
+                memory + memory_mbps * bandwidth,
+                storage + storage_mbps * bandwidth,
+            )
+        table = np.array(values, dtype=float).reshape(num_lanes, len(_IDLE_LANE))
+        columns = table.T
+        anchor_index = columns[1].astype(np.int64)
+        self._failed_lanes = failed
         context = LaneDecisionContext(
-            active=np.array(active, dtype=bool),
+            active=columns[0] > 0.0,
             anchor_rows=anchor_index,
-            # concatenate+reshape instead of np.stack: same layout, roughly
-            # a third of the per-call overhead on small row lists.
-            demands=np.concatenate(demands).reshape(num_lanes, 3),
-            extras=np.array(extras),
-            budgets=np.array(budgets),
-            holding=np.array(holding),
-            used=np.concatenate(used_rows).reshape(num_lanes, num_nodes, 3),
+            demands=table[:, 5:],
+            extras=columns[2],
+            budgets=columns[3],
+            holding=columns[4],
+            used=used.copy(),
             capacity_plus_tol=self._stacked_constant("_capacity_plus_tol", ledgers),
             latency=envs[0].network.latency_matrix[anchor_index],
             constant_stack=self._stacked_constant,
@@ -522,14 +540,12 @@ class VecPlacementEnv:
         # The cache keys on the ledger *objects* (held strongly, compared by
         # identity) rather than their id()s: a rebuilt ledger could land on
         # a freed ledger's recycled id and inherit a stale stack (RPL103).
+        # Ledgers define no __eq__, so tuple equality is identity per item.
+        ledgers = tuple(ledgers)
         cached = self._const_stack_cache.get(attr)
-        if (
-            cached is None
-            or len(cached[0]) != len(ledgers)
-            or any(held is not live for held, live in zip(cached[0], ledgers))
-        ):
+        if cached is None or cached[0] != ledgers:
             cached = (
-                tuple(ledgers),
+                ledgers,
                 np.stack([getattr(l, attr) for l in ledgers]),
             )
             self._const_stack_cache[attr] = cached
@@ -549,22 +565,24 @@ class VecPlacementEnv:
         if context is None:
             return np.stack([env.valid_action_mask() for env in self.envs])
         envs = self.envs
-        num_actions = self.num_actions
-        num_nodes = num_actions - 1
-        masks = np.zeros((len(envs), num_actions), dtype=bool)
-        masks[:, num_nodes] = True  # reject is always valid
-        valid = (context.demands[:, None, :] <= context.free_tol).all(axis=2)
+        fits = context.demands[:, None, :] <= context.free_tol
+        # fits.all(axis=2) over the three resource dimensions, spelled out:
+        # at K=16 a reduction over a length-3 axis costs more than the
+        # comparison itself.
+        valid = fits[:, :, 0] & fits[:, :, 1]
+        valid &= fits[:, :, 2]
         if envs[0].config.latency_mask_check:
             valid &= (
                 context.latency + context.extras[:, None]
                 <= context.budgets[:, None]
             )
         valid &= context.active[:, None]
-        for lane, env in enumerate(envs):
+        for lane in self._failed_lanes:
+            env = envs[lane]
             for node_id in env._failed_nodes:
                 valid[lane, env._node_action[node_id]] = False
-        masks[:, :num_nodes] = valid
-        return masks
+        # Reject, the last action, is always valid.
+        return np.concatenate((valid, self._reject_column), axis=1)
 
     def worker_metadata(self) -> Dict[str, object]:
         """Shard-compatibility metadata for the subprocess worker handshake.

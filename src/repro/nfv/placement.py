@@ -15,7 +15,8 @@ Placement construction is cheap and side-effect free; only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +128,17 @@ class Placement:
     def segments(self) -> List[PlacementSegment]:
         """The routed path segments between consecutive anchors."""
         return list(self._segments)
+
+    @cached_property
+    def traversed_links(self) -> FrozenSet[Tuple[int, int]]:
+        """Canonical endpoint pairs of every link the routed service path crosses.
+
+        Built once, on first use: the environments build a placement for
+        every completed chain and never ask which links it crosses.
+        """
+        return frozenset(
+            link for segment in self._segments for link in segment.path.links()
+        )
 
     @property
     def is_committed(self) -> bool:

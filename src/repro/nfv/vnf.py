@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +84,26 @@ class VNFType:
                 cache.clear()
             cache[bandwidth_mbps] = cached
         return cached
+
+    @cached_property
+    def demand_terms(self) -> Tuple[float, float, float, float, float, float]:
+        """Base then per-Mbps demand, ``(cpu, memory, storage)`` each, as floats.
+
+        Lets a batched gather evaluate :meth:`demand_array_for`'s
+        ``base + per_mbps * bandwidth`` one dimension at a time in Python
+        floats, the same IEEE double operations, without touching either
+        vector.
+        """
+        base = self.base_demand
+        per_mbps = self.demand_per_mbps
+        return (
+            float(base.cpu),
+            float(base.memory),
+            float(base.storage),
+            float(per_mbps.cpu),
+            float(per_mbps.memory),
+            float(per_mbps.storage),
+        )
 
     def __str__(self) -> str:
         return self.name

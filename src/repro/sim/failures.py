@@ -111,10 +111,7 @@ def placement_traverses_link(
     placement: Placement, endpoints: Tuple[int, int]
 ) -> bool:
     """True when any routed segment of ``placement`` crosses ``endpoints``."""
-    key = canonical_endpoints(*endpoints)
-    return any(
-        key in segment.path.links() for segment in placement.segments
-    )
+    return canonical_endpoints(*endpoints) in placement.traversed_links
 
 
 @dataclass(frozen=True)

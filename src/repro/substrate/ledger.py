@@ -146,10 +146,16 @@ class SubstrateLedger:
         """Vectorized feasibility: which nodes can host ``demand``.
 
         ``demand`` is a ``(3,)`` array in canonical dimension order; the
-        result is a boolean vector over ledger rows, equivalent to calling
-        :meth:`ComputeNode.can_host` on every node.  Treat it as read-only:
-        consecutive queries for the same demand (the encoder and the action
-        mask of one decision) share one memoized computation.
+        result is a boolean vector over ledger rows.  It evaluates
+        ``demand <= (cap + tol) - used``, which is *not* equivalent to
+        :meth:`ComputeNode.can_host`'s ``used + demand <= cap + tol``: the
+        two round differently and disagree when a demand sits within an ulp
+        or two of the free capacity.  The environment masks and the SoA
+        differential contract are defined on this expression; per-request
+        planning uses :func:`repro.baselines.common.can_host_row` instead.
+        Treat the result as read-only: consecutive queries for the same
+        demand (the encoder and the action mask of one decision) share one
+        memoized computation.
         """
         key = (self._node_version, demand.tobytes())
         if key != self._can_host_key:

@@ -5,10 +5,15 @@ so decision latencies are deterministic — no test here sleeps or depends on
 wall-clock speed.
 """
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.baselines.greedy import GreedyLeastLoadedPolicy, GreedyNearestPolicy
 from repro.core.timeout import BudgetedPolicy
+from repro.nfv.catalog import default_catalog
+from repro.nfv.placement import Placement
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.report import BoundedTrajectory, ServingReport, StreamingHistogram
 from repro.serving.service import (
@@ -17,8 +22,15 @@ from repro.serving.service import (
     OnlinePlacementService,
     ServingConfig,
 )
-from repro.sim.failures import ChaosEvent, DomainFailureConfig
+from repro.sim.failures import (
+    ChaosEvent,
+    DomainFailureConfig,
+    DomainFailureInjector,
+    fault_domains_from_network,
+    placement_traverses_link,
+)
 from repro.experiments.runner import run_serving_soak
+from repro.substrate.link import canonical_endpoints
 from repro.substrate.topology import TopologyConfig, linear_chain_topology
 from repro.workloads.scenarios import reference_scenario
 from tests.conftest import build_request
@@ -432,6 +444,136 @@ class TestOnlinePlacementService:
             "shed_rate",
             "sla_violation_rate",
         }
+
+
+# --------------------------------------------------------------------------- #
+# Chaos robustness
+# --------------------------------------------------------------------------- #
+class CommitAuditService(OnlinePlacementService):
+    """Records every committed placement with the failed sets it met."""
+
+    def _try_commit(self, placement):
+        committed = super()._try_commit(placement)
+        if committed:
+            self.commits.append(
+                (
+                    self.engine.now,
+                    placement,
+                    frozenset(self._failed_nodes),
+                    frozenset(self._failed_links),
+                )
+            )
+        return committed
+
+
+def audit_service(network, chaos, horizon):
+    chain = FallbackChain(
+        [
+            budgeted(GreedyLeastLoadedPolicy(), latency_s=0.002),
+            budgeted(GreedyNearestPolicy(), latency_s=0.001),
+        ]
+    )
+    service = CommitAuditService(
+        network,
+        chain,
+        ServingConfig(horizon=horizon, monitoring_interval=10.0),
+        chaos=chaos,
+    )
+    service.commits = []
+    return service
+
+
+def all_domains_down(network, domains, fail_at, recover_at):
+    """Every domain and its incident links fail at once, then recover."""
+    events = []
+    for time, suffix in ((fail_at, "failure"), (recover_at, "recovery")):
+        for domain in domains:
+            members = set(domain.node_ids)
+            events.extend(
+                ChaosEvent(time=time, kind=f"node_{suffix}", node_id=node_id)
+                for node_id in domain.node_ids
+            )
+            events.extend(
+                ChaosEvent(time=time, kind=f"link_{suffix}", endpoints=link.endpoints)
+                for link in network.links()
+                if members & set(link.endpoints)
+            )
+    return FixedChaos(events)
+
+
+class TestChaosRobustness:
+    @pytest.mark.parametrize("edge_only", [True, False])
+    def test_every_fault_domain_down_at_once(self, edge_only):
+        scenario = reference_scenario(
+            arrival_rate=3.0, num_edge_nodes=8, horizon=150.0, seed=11
+        )
+        network = scenario.build_network()
+        domains = fault_domains_from_network(network, edge_only=edge_only)
+        fail_at, recover_at = 40.0, 90.0
+        chaos = all_domains_down(network, domains, fail_at, recover_at)
+        service = audit_service(network, chaos, horizon=150.0)
+        report = service.run(scenario.iter_requests())
+
+        down = {node_id for domain in domains for node_id in domain.node_ids}
+        times = []
+        for time, placement, failed_nodes, failed_links in service.commits:
+            assert not set(placement.node_assignment) & failed_nodes
+            assert not placement.traversed_links & failed_links
+            if fail_at <= time < recover_at:
+                assert failed_nodes == down
+            times.append(time)
+        assert min(times) < fail_at and max(times) >= recover_at
+        assert report.disrupted > 0
+        assert report.arrivals == (
+            report.shed + report.accepted + report.rejected + report.commit_failed
+        )
+        assert report.disrupted == report.replaced + report.lost + report.expired
+        # Every allocation and reservation is gone; usage is back to zero up
+        # to the release path's subtract-and-clamp rounding (~1e-12 here).
+        ledger = network.ledger
+        assert not service._active
+        assert not ledger.node_alloc_count.any()
+        assert not any(link._reservations for link in network.links())
+        np.testing.assert_allclose(ledger.node_used, 0.0, atol=1e-9)
+        np.testing.assert_allclose(ledger.link_used, 0.0, atol=1e-9)
+
+    def test_traversed_links_match_segment_paths(self):
+        scenario = reference_scenario(
+            arrival_rate=3.0, num_edge_nodes=8, horizon=150.0, seed=5
+        )
+        network = scenario.build_network()
+        chaos = DomainFailureInjector(
+            fault_domains_from_network(network),
+            DomainFailureConfig(
+                mean_time_to_failure=40.0,
+                mean_time_to_repair=10.0,
+                link_mean_time_to_failure=80.0,
+                link_mean_time_to_repair=10.0,
+                seed=5,
+            ),
+        )
+        service = audit_service(network, chaos, horizon=150.0)
+        report = service.run(scenario.iter_requests())
+        assert report.disrupted > 0 and report.replaced > 0
+        links = [link.endpoints for link in network.links()]
+        for _, placement, _, _ in service.commits:
+            for u, v in links:
+                for endpoints in ((u, v), (v, u)):
+                    key = canonical_endpoints(*endpoints)
+                    expected = any(
+                        key in segment.path.links() for segment in placement.segments
+                    )
+                    assert placement_traverses_link(placement, endpoints) == expected
+
+    def test_traversed_links_leave_placement_equality_alone(self):
+        network = linear_chain_topology(num_edge_nodes=4, seed=0)
+        request = build_request(default_catalog(), source=0)
+        queried = Placement.build(request, (1, 3), network)
+        twin = copy.copy(queried)
+        assert queried.traversed_links == {
+            link for segment in twin.segments for link in segment.path.links()
+        }
+        assert queried == twin
 
 
 # --------------------------------------------------------------------------- #
